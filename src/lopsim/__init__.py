@@ -17,7 +17,6 @@ from .circuits import (
     recompose,
 )
 from .detectors import (
-    DetectorModel,
     TradeoffPoint,
     ancilla_branches,
     bunching_tradeoff_report,
@@ -74,7 +73,6 @@ __all__ = [
     "AlgebraElement",
     "BeamSplitter",
     "Circuit",
-    "DetectorModel",
     "EngineeringSolution",
     "ExtensionParams",
     "FockBasis",

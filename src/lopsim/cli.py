@@ -1,8 +1,11 @@
 """Command-line front end: compile targets, run circuits, sweep detectors, self-test.
 
-Exit codes: 0 on success, 2 on usage errors, 3 on numerical failures.
+Exit codes: 0 on success, 2 on usage errors, 3 on numerical failures, which
+include any error the library raises while `prepare`, `simulate` or `sweep`
+runs.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -14,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit, decompose, recompose
 from .detectors import tradeoff_sweep, write_sweep_csv
-from .engineering import DEFAULT_SEED, InfeasibleExtensionError, postselect, solve_target
+from .engineering import DEFAULT_SEED, postselect, solve_target
 from .fock import PureState, enumerate_basis
 from .lifting import ModeUnitary
 from .selftest import run_all
@@ -70,6 +73,15 @@ COMPLEX = ComplexParam()
 def _fail_numeric(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(3)
+
+
+@contextlib.contextmanager
+def _library_errors():
+    """Report a library error as a one-line numerical failure, not a traceback."""
+    try:
+        yield
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        _fail_numeric(str(exc))
 
 
 def _emit(cfg: RunConfig, text: str):
@@ -155,11 +167,9 @@ def prepare(cfg: RunConfig, a, b, c, ancilla_in):
         )
         t = t / norm
     click.echo(f"seed: {cfg.seed}", err=True)
-    try:
+    with _library_errors():
         solution = solve_target(tuple(t), seed=cfg.seed)
-    except InfeasibleExtensionError as exc:
-        _fail_numeric(f"infeasible target: {exc}")
-    circuit = decompose(solution.mode_unitary)
+        circuit = decompose(solution.mode_unitary)
     payload = solution.to_json()
     payload["circuit"] = circuit.to_json()
     payload["achieved_state"] = solution.achieved_state.to_json()
@@ -201,11 +211,12 @@ def simulate(cfg: RunConfig, circuit_file, occupation, outcome):
         raise click.UsageError("the circuit needs computational and ancilla modes")
     occ = _parse_occupation(occupation, circuit.modes)
     comp = occ[:-1]
-    basis = enumerate_basis(len(comp), sum(comp))
-    state_in = PureState.from_occupation(basis, comp)
     if outcome < 0 or outcome > sum(occ):
         raise click.UsageError(f"outcome {outcome} exceeds the photon total")
-    state, prob = postselect(unitary, state_in, occ[-1], outcome)
+    with _library_errors():
+        basis = enumerate_basis(len(comp), sum(comp))
+        state_in = PureState.from_occupation(basis, comp)
+        state, prob = postselect(unitary, state_in, occ[-1], outcome)
     payload = {
         "probability": prob,
         "outcome": outcome,
@@ -245,11 +256,12 @@ def sweep(cfg: RunConfig, circuit_file, occupation, protocol, eta_min, eta_max,
     if circuit.modes < 2:
         raise click.UsageError("the circuit needs computational and ancilla modes")
     occ = _parse_occupation(occupation, circuit.modes)
-    state = PureState.from_occupation(
-        enumerate_basis(circuit.modes, sum(occ)), occ
-    )
     grid = np.linspace(eta_min, eta_max, steps)
-    points = tradeoff_sweep(circuit, state, protocol, grid)
+    with _library_errors():
+        state = PureState.from_occupation(
+            enumerate_basis(circuit.modes, sum(occ)), occ
+        )
+        points = tradeoff_sweep(circuit, state, protocol, grid)
     buf = io.StringIO()
     write_sweep_csv(points, buf)
     _emit(cfg, buf.getvalue())

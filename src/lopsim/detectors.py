@@ -1,10 +1,17 @@
 """Imperfect on/off photodetection on the ancilla mode.
 
 A detector with quantum efficiency eta misses each photon independently, so
-the no-click weight on k photons is (1-eta)^k and the click weight is its
-complement. Conditioning on either outcome mixes the ideal fixed-photon
-branches of the evolved state; fidelity to the intended branch then trades
-off against the raw outcome probability.
+the no-click weight on k photons is w_k = (1-eta)^k and the click weight is
+its complement. The evolved state splits into orthogonal ideal branches phi_k
+(k photons on the ancilla) of weights n_k = <phi_k|phi_k>, and conditioning
+on an outcome mixes them with weights w_k. The success probability and the
+fidelity to the intended branch j therefore follow in closed form:
+
+    P = sum_k w_k n_k,    F = w_j n_j / P,    so  F * P = w_j n_j.
+
+`tradeoff_sweep` evaluates this formula; the conditional density matrices of
+`conditional_no_click` / `conditional_click` with `fidelity_to_branch` are an
+independent route to the same numbers, kept for checks.
 """
 
 import math
@@ -23,34 +30,21 @@ from .fock import (
 from .lifting import ModeUnitary, apply, lift_unitary
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """On/off detector with quantum efficiency eta in [0, 1]."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"quantum efficiency must be in [0, 1], got {self.eta}")
-
-    def no_click_weight(self, photons: int) -> float:
-        return (1.0 - self.eta) ** photons
-
-    def click_weight(self, photons: int) -> float:
-        return 1.0 - (1.0 - self.eta) ** photons
-
-
 def povm_no_click(eta: float, max_photons: int) -> np.ndarray:
-    """Diagonal weights of the no-click POVM element on 0..max_photons photons."""
+    """Diagonal weights (1-eta)^k of the no-click POVM element, k = 0..max_photons."""
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError(f"quantum efficiency must be in [0, 1], got {eta}")
     if max_photons < 0:
         raise ValueError("max_photons must be non-negative")
-    det = DetectorModel(eta)
-    return np.array([det.no_click_weight(k) for k in range(max_photons + 1)])
+    return (1.0 - eta) ** np.arange(max_photons + 1)
 
 
 def povm_click(eta: float, max_photons: int) -> np.ndarray:
     """Diagonal weights of the click POVM element, 1 - (1-eta)^k."""
     return 1.0 - povm_no_click(eta, max_photons)
+
+
+_POVM = {"no-click": povm_no_click, "click": povm_click}
 
 
 def ancilla_branches(state: PureState):
@@ -72,51 +66,36 @@ def ancilla_branches(state: PureState):
     return branches
 
 
-def _mix_branches(branches, weights):
-    """Weighted mixture of orthogonal branches as a block-diagonal density matrix."""
+def _condition(state: PureState, weights: np.ndarray):
+    """Conditional state and probability of the outcome with POVM diagonal `weights`.
+
+    rho mixes the ideal branches phi_k with weights w_k / P as a block-diagonal
+    density matrix, where P = sum_k w_k <phi_k|phi_k>. Returns (None, 0.0) when
+    the outcome cannot occur.
+    """
+    branches = ancilla_branches(state)
+    p = float(weights @ [b.squared_norm for b in branches])
+    if p < 1e-24:
+        return None, 0.0
     n = len(branches) - 1
-    modes = branches[0].basis.modes
-    basis = MultiSectorBasis(modes, tuple(n - k for k in range(n + 1)))
-    total = float(sum(w * b.squared_norm for w, b in zip(weights, branches)))
+    basis = MultiSectorBasis(branches[0].basis.modes, tuple(range(n, -1, -1)))
     rho = np.zeros((basis.size, basis.size), dtype=complex)
     for k, (w, b) in enumerate(zip(weights, branches)):
         if w == 0.0 or b.squared_norm == 0.0:
             continue
         sl = basis.sector_slice(n - k)
-        rho[sl, sl] += (w / total) * np.outer(b.amplitudes, b.amplitudes.conj())
-    return MixedState(basis, rho), total
+        rho[sl, sl] = (w / p) * np.outer(b.amplitudes, b.amplitudes.conj())
+    return MixedState(basis, rho), p
 
 
 def conditional_no_click(state: PureState, eta: float):
-    """Conditional mixed state and probability of the no-click outcome.
-
-    rho_0 mixes the ideal branches phi_k with weights (1-eta)^k / P_0, where
-    P_0 = sum_k (1-eta)^k <phi_k|phi_k>. Returns (None, 0.0) if no click is
-    impossible (perfect detector and an empty vacuum branch).
-    """
-    det = DetectorModel(eta)
-    branches = ancilla_branches(state)
-    weights = [det.no_click_weight(k) for k in range(len(branches))]
-    p0 = sum(w * b.squared_norm for w, b in zip(weights, branches))
-    if p0 < 1e-24:
-        return None, 0.0
-    return _mix_branches(branches, weights)
+    """Conditional mixed state and probability of no click; (None, 0.0) if impossible."""
+    return _condition(state, povm_no_click(eta, state.basis.photons))
 
 
 def conditional_click(state: PureState, eta: float):
-    """Conditional mixed state and probability of the click outcome.
-
-    Weights are 1 - (1-eta)^k; the k = 0 branch never contributes. Returns
-    (None, 0.0) when a click is impossible (blind detector, or no photon ever
-    reaches the ancilla).
-    """
-    det = DetectorModel(eta)
-    branches = ancilla_branches(state)
-    weights = [det.click_weight(k) for k in range(len(branches))]
-    p1 = sum(w * b.squared_norm for w, b in zip(weights, branches))
-    if p1 < 1e-24:
-        return None, 0.0
-    return _mix_branches(branches, weights)
+    """Conditional mixed state and probability of a click; (None, 0.0) if impossible."""
+    return _condition(state, povm_click(eta, state.basis.photons))
 
 
 def fidelity_to_branch(rho: MixedState, branch: PureState) -> float:
@@ -154,37 +133,40 @@ def tradeoff_sweep(circuit, input_state: PureState, protocol: str, eta_grid,
                    target_branch: int | None = None):
     """Probability and fidelity of a post-selection protocol across efficiencies.
 
-    The input state (ancilla mode included) is evolved once; for each eta the
-    detector outcome is conditioned and the fidelity to the ideal branch is
-    evaluated. The ideal branch is k = 0 for `no-click` and k = 1 for `click`
-    unless `target_branch` overrides it. Points where the outcome cannot occur
-    report probability 0 and NaN fidelity.
+    The input state (ancilla mode included) is evolved and split into its
+    ideal branches once. Each point is then P = sum_k w_k n_k and
+    F = w_j n_j / P, with w the protocol's POVM diagonal at that eta, n the
+    branch weights and j the ideal branch: k = 0 for `no-click` and k = 1 for
+    `click` unless `target_branch` overrides it. Points where the outcome
+    cannot occur report probability 0 and NaN fidelity. An ideal branch of
+    weight below 1e-24 has no fidelity at any eta and raises ValueError; this
+    includes a click sweep in which no photon can reach the ancilla.
     """
-    if protocol not in ("no-click", "click"):
+    if protocol not in _POVM:
         raise ValueError(f"protocol must be 'no-click' or 'click', got {protocol!r}")
     unitary = _as_mode_unitary(circuit)
     if unitary.size != input_state.basis.modes:
         raise ValueError("circuit and input state must cover the same modes")
     evolved = apply(lift_unitary(unitary, input_state.basis.photons), input_state)
-    branches = ancilla_branches(evolved)
-    branch_index = target_branch if target_branch is not None else (
+    n = np.array([b.squared_norm for b in ancilla_branches(evolved)])
+    j = target_branch if target_branch is not None else (
         0 if protocol == "no-click" else 1
     )
-    if not (0 <= branch_index < len(branches)):
+    if not (0 <= j < len(n)):
+        raise ValueError(f"target branch {j} outside 0..{len(n) - 1}")
+    if n[j] < 1e-24:
         raise ValueError(
-            f"target branch {branch_index} outside 0..{len(branches) - 1}"
+            f"ideal branch {j} has weight {n[j]:.3e}; its fidelity is undefined"
         )
-    ideal = branches[branch_index]
-    condition = conditional_no_click if protocol == "no-click" else conditional_click
+    povm = _POVM[protocol]
     points = []
     for eta in eta_grid:
-        rho, p = condition(evolved, float(eta))
-        if rho is None:
+        w = povm(float(eta), len(n) - 1)
+        p = float(w @ n)
+        if p < 1e-24:
             points.append(TradeoffPoint(float(eta), 0.0, math.nan))
-            continue
-        points.append(
-            TradeoffPoint(float(eta), p, fidelity_to_branch(rho, ideal))
-        )
+        else:
+            points.append(TradeoffPoint(float(eta), p, float(w[j] * n[j] / p)))
     return points
 
 

@@ -84,7 +84,9 @@ def build_extension_matrix(alpha, beta, gamma, delta, *, atol=ATOL):
     Returns (ModeUnitary, k). The scale k makes the second column unit norm;
     the third column is completed by orthonormalization. Requires
     |alpha|^2 + |beta|^2 <= 1; on the boundary the first two columns must
-    already be orthogonal, otherwise no completion exists.
+    already be orthogonal, otherwise no completion exists. The completed
+    matrix is replaced by its nearest unitary (its polar factor), which
+    removes the rounding that near-degenerate sub-blocks leave in it.
     """
     k, e1, e2 = _scale_and_ancilla_row(alpha, beta, gamma, delta, atol=atol)
     c1 = np.array([alpha, beta, e1], dtype=complex)
@@ -97,8 +99,8 @@ def build_extension_matrix(alpha, beta, gamma, delta, *, atol=ATOL):
     norms = [np.linalg.norm(r) for r in residuals]
     best = int(np.argmax(norms))
     c3 = residuals[best] / norms[best]
-    m = np.column_stack([c1, c2, c3])
-    return ModeUnitary(m, atol=max(atol, 1e-12)), float(k)
+    u, _, vh = np.linalg.svd(np.column_stack([c1, c2, c3]))
+    return ModeUnitary(u @ vh, atol=max(atol, 1e-12)), float(k)
 
 
 def _normalization_defect(alpha, beta, gamma, delta) -> float:

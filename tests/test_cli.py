@@ -7,9 +7,20 @@ from click.testing import CliRunner
 
 from lopsim.circuits import Circuit, bunching_circuit, recompose
 from lopsim.cli import main, parse_complex
+from lopsim.engineering import postselect
+from lopsim.fock import PureState, enumerate_basis, overlap
 from lopsim.lifting import ModeUnitary
 
 RT2 = math.sqrt(2.0)
+
+
+def assert_numeric_failure(result, fragment):
+    """Exit 3 with a one-line `error:` message, never an uncaught exception."""
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("error:") and fragment in last
 
 
 @pytest.fixture
@@ -102,6 +113,27 @@ class TestPrepare:
         result = runner.invoke(main, ["prepare", "0", "0", "0"])
         assert result.exit_code == 2
 
+    def test_library_error_exits_numeric(self, runner, monkeypatch):
+        def no_circuit(*args, **kwargs):
+            raise RuntimeError("no feasible circuit found")
+
+        monkeypatch.setattr("lopsim.cli.solve_target", no_circuit)
+        result = runner.invoke(main, ["prepare", "1", "0", "0"])
+        assert_numeric_failure(result, "no feasible circuit")
+
+    def test_near_degenerate_target_replays(self, runner):
+        target = [1e-10, 1.0, 1e-10]
+        result = runner.invoke(
+            main, ["--format", "json", "prepare", "--", *map(str, target)]
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        unitary = recompose(Circuit.from_json(payload["circuit"]))
+        fiducial = PureState.from_occupation(enumerate_basis(2, 2), (1, 1))
+        state, prob = postselect(unitary, fiducial, 0, 0)
+        assert abs(overlap(PureState(enumerate_basis(2, 2), target), state)) >= 1 - 1e-9
+        assert prob == pytest.approx(payload["probability"], abs=1e-9)
+
 
 class TestSimulate:
     def test_bunching_forward(self, runner, bunching_file):
@@ -152,6 +184,12 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "cannot read" in result.stderr
 
+    def test_library_error_exits_numeric(self, runner, bunching_file):
+        result = runner.invoke(
+            main, ["simulate", bunching_file, "--input", "100 100 0", "--outcome", "0"]
+        )
+        assert_numeric_failure(result, "sector dimension")
+
     def test_wrong_occupation_length(self, runner, bunching_file):
         result = runner.invoke(
             main, ["simulate", bunching_file, "--input", "1 1", "--outcome", "0"]
@@ -199,6 +237,17 @@ class TestSweep:
              "--eta-min", "0.9", "--eta-max", "0.1"],
         )
         assert result.exit_code == 2
+
+    def test_zero_weight_ideal_branch_exits_numeric(self, runner, bunching_file):
+        # no photon of |110> reaches the ancilla with exactly one photon
+        result = runner.invoke(
+            main, ["sweep", bunching_file, "--input", "1 1 0", "--protocol", "click"]
+        )
+        assert_numeric_failure(result, "ideal branch 1")
+
+    def test_library_error_exits_numeric(self, runner, bunching_file):
+        result = runner.invoke(main, ["sweep", bunching_file, "--input", "100 100 0"])
+        assert_numeric_failure(result, "sector dimension")
 
     def test_output_file(self, runner, bunching_file, tmp_path):
         out = tmp_path / "sweep.csv"

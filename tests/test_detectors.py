@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lopsim.circuits import bunching_circuit, recompose
+from lopsim.circuits import Circuit, bunching_circuit, recompose
 from lopsim.detectors import (
-    DetectorModel,
     ancilla_branches,
     bunching_tradeoff_report,
     conditional_click,
@@ -65,7 +66,7 @@ class TestPovmWeights:
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):
-            DetectorModel(1.2)
+            povm_no_click(1.2, 3)
         with pytest.raises(ValueError):
             povm_no_click(-0.1, 3)
 
@@ -248,12 +249,63 @@ class TestTradeoffSweep:
         with pytest.raises(ValueError, match="protocol"):
             tradeoff_sweep(bunching_circuit(), inp, "sometimes", [0.5])
 
+    @pytest.mark.parametrize("circuit, occupation, branch", [
+        (bunching_circuit(), (1, 1, 0), 1),  # phi_1 of the bunching run vanishes
+        (Circuit(3, ()), (0, 0, 2), 1),  # the ancilla keeps both photons
+        (Circuit(3, ()), (1, 1, 0), 1),  # no photon ever reaches the ancilla
+    ])
+    def test_rejects_zero_weight_ideal_branch(self, circuit, occupation, branch):
+        inp = PureState.from_occupation(enumerate_basis(3, 2), occupation)
+        with pytest.raises(ValueError, match=f"ideal branch {branch} has weight"):
+            tradeoff_sweep(circuit, inp, "click", [0.5])
+
     def test_rejects_out_of_range_branch(self):
         basis = enumerate_basis(2, 2)
         inp = tensor_with_ancilla(PureState.from_occupation(basis, (1, 1)), 0)
         with pytest.raises(ValueError, match="branch"):
             tradeoff_sweep(bunching_circuit(), inp, "click", [0.5],
                            target_branch=5)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A Haar circuit on 2-4 modes, any input of 1-4 photons, a protocol, an eta grid."""
+    modes = draw(st.integers(2, 4))
+    photons = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, photons),
+                                min_size=modes - 1, max_size=modes - 1)))
+    occupation = tuple(b - a for a, b in zip([0, *cuts], [*cuts, photons]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unitary = ModeUnitary.random(modes, rng)
+    protocol = draw(st.sampled_from(["no-click", "click"]))
+    etas = draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+    return unitary, occupation, protocol, [0.0, 1.0, *etas]
+
+
+class TestSweepMatchesDensityMatrixRoute:
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_cases())
+    def test_points_match_conditional_states(self, case):
+        unitary, occupation, protocol, grid = case
+        inp = PureState.from_occupation(
+            enumerate_basis(unitary.size, sum(occupation)), occupation
+        )
+        evolved = apply(lift_unitary(unitary, sum(occupation)), inp)
+        branches = ancilla_branches(evolved)
+        condition = conditional_no_click if protocol == "no-click" else conditional_click
+        for j, phi in enumerate(branches):
+            if phi.squared_norm < 1e-24:
+                with pytest.raises(ValueError, match="ideal branch"):
+                    tradeoff_sweep(unitary, inp, protocol, grid, target_branch=j)
+                continue
+            points = tradeoff_sweep(unitary, inp, protocol, grid, target_branch=j)
+            for point, eta in zip(points, grid):
+                rho, p = condition(evolved, eta)
+                if rho is None:
+                    assert point.probability == 0.0 and math.isnan(point.fidelity)
+                else:
+                    assert abs(point.probability - p) <= 1e-12
+                    assert abs(point.fidelity - fidelity_to_branch(rho, phi)) <= 1e-12
 
 
 class TestSweepCsv:

@@ -337,6 +337,16 @@ class TestSolveTarget:
         assert solve_target((1e-6, math.sqrt(1 - 2e-12), 1e-6)
                             ).success_probability >= 0.99
 
+    @pytest.mark.parametrize("target", [(1e-10, 1.0, 1e-10), (1e-10, 1.0, 0.0)])
+    def test_tiny_edges_above_degeneracy_threshold(self, target):
+        # edges just above degenerate_tol leave ~1e-10 of rounding in the
+        # completed matrix; the replay must still reproduce the target
+        solution = solve_target(target)
+        state, prob = postselect(solution.mode_unitary, fiducial(), 0, 0)
+        fid = abs(overlap(PureState(enumerate_basis(2, 2), list(target)), state))
+        assert fid >= 1 - 1e-9
+        assert abs(prob - solution.success_probability) <= 1e-9
+
     def test_double_root_constraint_system(self):
         # B^2 = 2AC degenerates the elimination quadratic to a double root
         rng = np.random.default_rng(33)
