@@ -158,12 +158,14 @@ def prepare(cfg: RunConfig, a, b, c, ancilla_in):
             "only the vacuum-ancilla protocol is compiled; use --ancilla-in 0"
         )
     t = np.array([a, b, c], dtype=complex)
-    norm = float(np.linalg.norm(t))
+    # scaled by the largest modulus so that large finite amplitudes do not overflow
+    largest = float(np.max(np.abs(t)))
+    norm = largest * float(np.linalg.norm(t / largest)) if largest > 0 else 0.0
     if norm < 1e-12:
         raise click.UsageError("target amplitudes are all zero")
     if abs(norm - 1.0) > 1e-9:
         click.echo(
-            f"warning: target norm {norm:.9f} != 1, normalizing", err=True
+            f"warning: target norm {norm:.10g} != 1, normalizing", err=True
         )
         t = t / norm
     click.echo(f"seed: {cfg.seed}", err=True)

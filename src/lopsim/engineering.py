@@ -2,9 +2,18 @@
 
 Implements the unitary completion of a 2x2 sub-block with its scale factor k,
 the Kraus decomposition of the ancilla-extended map, the compiler that finds a
-maximal-success-probability circuit for an arbitrary normalized target, and a
-search certifying that extra ancilla modes cannot beat the single-ancilla
-optimum.
+maximal-success-probability circuit for an arbitrary normalized target, and
+the exact optimum over any number of vacuum ancillas.
+
+That optimum follows from the target's factorization (u.z)(v.z) into unit
+linear factors: the top-left 2x2 block X of the mode unitary must be
+[lambda*u, mu*v], the reachable blocks are the contractions ||X|| <= 1, and
+the best of them has |lambda|^2 = |mu|^2 = 1/(1 + c) with c = |<u|v>|, so
+
+    P* = (1 + c^2) / (1 + c)^2.
+
+At that block det(I - X^dag X) = 0, so a single ancilla mode already reaches
+P*: extra ancilla modes cannot beat the single-ancilla optimum.
 """
 
 import math
@@ -14,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from .fock import ATOL, PureState, enumerate_basis, overlap, tensor_with_ancilla
-from .lifting import ModeUnitary, _principal_log, apply, lift_unitary
+from .lifting import ModeUnitary, apply, lift_unitary
 
 DEFAULT_SEED = 123456789
 
@@ -46,12 +55,11 @@ def _scale_and_ancilla_row(alpha, beta, gamma, delta, *, atol=ATOL):
         if k <= atol:
             raise InfeasibleExtensionError("second column would be zero")
         return k, 0.0 + 0j, 0.0 + 0j
-    e1 = math.sqrt(slack)
-    e2 = -cross / e1
     k2 = abs(gamma) ** 2 + abs(delta) ** 2 + abs(cross) ** 2 / slack
     if k2 <= atol**2:
         raise InfeasibleExtensionError("second column would be zero")
-    return math.sqrt(k2), complex(e1), e2
+    e1 = math.sqrt(slack)
+    return math.sqrt(k2), e1, cross / -e1
 
 
 @dataclass(frozen=True)
@@ -242,16 +250,10 @@ class EngineeringSolution:
 
 def _kappa_sq(alpha, beta, gamma, delta):
     """k^2 for a parameter set, +inf where no completion exists."""
-    s = abs(alpha) ** 2 + abs(beta) ** 2
-    if s > 1 + 1e-12:
+    try:
+        return _scale_and_ancilla_row(alpha, beta, gamma, delta)[0] ** 2
+    except InfeasibleExtensionError:
         return math.inf
-    cross = np.conj(alpha) * gamma + np.conj(beta) * delta
-    slack = 1.0 - s
-    if slack <= 1e-12:
-        if abs(cross) > 1e-8:
-            return math.inf
-        return abs(gamma) ** 2 + abs(delta) ** 2
-    return abs(gamma) ** 2 + abs(delta) ** 2 + abs(cross) ** 2 / slack
 
 
 def _constraint_residual(params, A, B, C) -> float:
@@ -472,127 +474,74 @@ def solve_target_json(data: dict, *, seed: int = DEFAULT_SEED) -> dict:
     return solve_target(triple, seed=seed).to_json()
 
 
-def _vacuum_branch_triple(unitary_matrix: np.ndarray) -> np.ndarray:
-    """Unnormalized all-ancilla-vacuum branch of |11, 0...0>, as three amplitudes.
+def _unit(w):
+    w = w / np.max(np.abs(w))  # rescale first so tiny entries do not underflow
+    return w / np.linalg.norm(w)
 
-    Only the top-left 2x2 block contributes; this closed form is cross-checked
-    against the full lifted evolution in the test suite.
+
+def _unit_factors(A, B, C):
+    """Unit vectors u, v with (u.z)(v.z) proportional to the target polynomial.
+
+    The target A|20> + B|11> + C|02> is a*z0^2 + b*z0*z1 + c*z1^2 with
+    a = A/sqrt(2), b = B, c = C/sqrt(2). With the larger of |a|, |c| leading
+    and q = -(b + sqrt(b^2 - 4ac))/2 (sign chosen against cancellation), it
+    equals (a*z0 - q*z1)(q*z0 - c*z1)/q; q = 0 leaves a*z0^2 alone.
     """
-    x = unitary_matrix[:2, :2]
-    return np.array(
-        [
-            _SQRT2 * x[0, 0] * x[0, 1],
-            x[0, 0] * x[1, 1] + x[1, 0] * x[0, 1],
-            _SQRT2 * x[1, 0] * x[1, 1],
-        ]
-    )
+    a, b, c = A / _SQRT2, B, C / _SQRT2
+    swap = abs(c) > abs(a)
+    if swap:
+        a, c = c, a
+    root = np.sqrt(complex(b * b - 4 * a * c))
+    if abs(b - root) > abs(b + root):
+        root = -root
+    q = -(b + root) / 2
+    if q == 0:
+        u = v = np.array([1.0, 0.0], dtype=complex)
+    else:
+        u, v = _unit(np.array([a, -q])), _unit(np.array([q, -c]))
+    if swap:
+        u, v = u[::-1], v[::-1]
+    return u, v
 
 
-def _antihermitian_from_reals(x, n):
-    h = np.zeros((n, n), dtype=complex)
-    k = 0
-    for i in range(n):
-        h[i, i] = 1j * x[k]
-        k += 1
-        for j in range(i + 1, n):
-            h[i, j] = x[k] + 1j * x[k + 1]
-            h[j, i] = -x[k] + 1j * x[k + 1]
-            k += 2
-    return h
+def multi_ancilla_bound_check(target, ancilla_count: int, budget: int | None = None,
+                              *, refine_starts: int | None = None) -> float:
+    """Highest probability of exactly reaching the target with vacuum ancillas.
 
+    With every ancilla in vacuum and post-selected on vacuum, |11> maps to
+    (x0.z)(x1.z) for the columns x0, x1 of the top-left 2x2 block X of U.
+    That branch is on the target ray exactly when X = [lambda*u, mu*v] for
+    the target's unit factors u, v, with probability |lambda*mu|^2 (1 + c^2),
+    c = |<u|v>|. The blocks of unitaries on two or more extra modes are
+    exactly the contractions ||X|| <= 1 (Halmos dilation). For a fixed
+    |lambda*mu| the largest eigenvalue of X^dag X is smallest at
+    |lambda| = |mu|, where it is |lambda|^2 (1 + c); setting it to 1 gives
 
-def _expm_antihermitian(h):
-    # exp via the spectral decomposition of the Hermitian matrix i*h
-    w, v = np.linalg.eigh(1j * h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+        P* = (1 + c^2) / (1 + c)^2
 
-
-def _reals_from_antihermitian(h):
-    n = h.shape[0]
-    x = []
-    for i in range(n):
-        x.append(h[i, i].imag)
-        for j in range(i + 1, n):
-            x.append(h[i, j].real)
-            x.append(h[i, j].imag)
-    return np.array(x)
-
-
-def multi_ancilla_bound_check(target, ancilla_count: int, budget: int, *,
-                              seed: int = DEFAULT_SEED, refine_starts: int = 6
-                              ) -> float:
-    """Best found probability of exactly reaching the target with extra ancillas.
-
-    Random search over unitaries on 2 + ancilla_count modes (all ancillas in
-    vacuum, post-selected on all-vacuum) followed by local refinement with a
-    staged penalty forcing the conditional state onto the target ray. The
-    single-ancilla optimum embedded in the larger group seeds one refinement,
-    so the result is never below it; by design it should also never exceed it
-    by more than numerical slack.
+    for any number of ancillas. There det(I - X^dag X) = 0, so one ancilla
+    already completes X; the completion is padded with the identity on the
+    remaining ancillas and replayed through the full lifted `postselect`,
+    returning probability times squared fidelity. `budget` and
+    `refine_starts` tuned a former sampling search and are ignored; they stay
+    so that existing callers keep working.
     """
     if ancilla_count < 1:
         raise ValueError("at least one ancilla mode is required")
     A, B, C = _target_triple(target)
-    t = np.array([A, B, C])
-    modes = 2 + ancilla_count
-    rng = np.random.default_rng(seed)
-
-    def scores(u):
-        phi0 = _vacuum_branch_triple(u)
-        hit = abs(np.vdot(t, phi0)) ** 2
-        miss = float(np.vdot(phi0, phi0).real) - hit
-        return hit, miss
-
-    samples = []
-    for _ in range(budget):
-        u = ModeUnitary.random(modes, rng).matrix
-        hit, miss = scores(u)
-        samples.append((hit - 1e4 * miss, u))
-    samples.sort(key=lambda s: -s[0])
-    seeds = [u for _, u in samples[: max(refine_starts - 1, 1)]]
-    single = solve_target((A, B, C), seed=seed)
-    embedded = np.eye(modes, dtype=complex)
-    embedded[:3, :3] = single.mode_unitary.matrix
-    seeds.append(embedded)
-
-    nx = modes * modes
-    stages = ((1e4, 1e-6, 1e-9), (1e9, 1e-9, 1e-13))
-    # The never-refined embedded solution is exactly aligned by construction,
-    # so at least one candidate always survives the alignment filter below.
-    candidates = [embedded]
-    for u0 in seeds:
-        x = _reals_from_antihermitian(_principal_log(u0))
-        for weight, xatol, fatol in stages:
-
-            def objective(xv, w=weight):
-                hit, miss = scores(_expm_antihermitian(_antihermitian_from_reals(xv, modes)))
-                return -(hit - w * miss)
-
-            res = scipy.optimize.minimize(
-                objective, x, method="Nelder-Mead",
-                options={"maxiter": 150 * nx, "xatol": xatol, "fatol": fatol},
-            )
-            x = res.x
-        candidates.append(_expm_antihermitian(_antihermitian_from_reals(x, modes)))
-    # Only exactly-reaching circuits count: a candidate preparing a merely
-    # nearby state can carry more raw probability than the best exact one,
-    # which is not what this bound measures.
-    best_u, best_hit = None, -math.inf
-    for u in candidates:
-        hit, miss = scores(u)
-        if miss > 1e-14 * max(1.0, hit):
-            continue
-        if hit > best_hit:
-            best_hit, best_u = hit, u
-    # Evaluate the winner through the full lifted pipeline.
+    u, v = _unit_factors(A, B, C)
+    scale = 1.0 / math.sqrt(1.0 + abs(np.vdot(u, v)))
+    # At the default ATOL a slack 1 - scale^2 = c/(1 + c) below 1e-10 would be
+    # taken as the boundary and the block rounded off the target ray.
+    completion, _ = build_extension_matrix(*(scale * u), *(scale * v), atol=1e-15)
+    unitary = np.eye(2 + ancilla_count, dtype=complex)
+    unitary[:3, :3] = completion.matrix
     basis = enumerate_basis(2, 2)
     state, prob = postselect(
-        ModeUnitary(best_u, atol=1e-9),
+        ModeUnitary(unitary),
         PureState.from_occupation(basis, (1, 1)),
         (0,) * ancilla_count,
         (0,) * ancilla_count,
     )
-    if state is None:
-        return 0.0
-    fid = abs(overlap(PureState(basis, t), state))
+    fid = abs(overlap(PureState(basis, [A, B, C]), state))
     return float(prob * fid**2)

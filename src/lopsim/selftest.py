@@ -212,9 +212,7 @@ def check_extra_ancillas_bound(rng, tol):
     """Two vacuum ancillas cannot beat the single-ancilla bunching optimum."""
     tol = 1e-6 if tol is None else tol
     t0 = time.perf_counter()
-    best = multi_ancilla_bound_check(
-        (1.0, 0.0, 0.0), 2, 2000, seed=int(rng.integers(2**63))
-    )
+    best = multi_ancilla_bound_check((1.0, 0.0, 0.0), 2)
     dt = time.perf_counter() - t0
     ok = best <= 0.5 + tol and dt < 60.0
     return ok, f"best={best:.9f} time={dt:.1f}s"

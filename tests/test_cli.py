@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from lopsim.circuits import Circuit, bunching_circuit, recompose
 from lopsim.cli import main, parse_complex
-from lopsim.engineering import postselect
+from lopsim.engineering import postselect, solve_target
 from lopsim.fock import PureState, enumerate_basis, overlap
 from lopsim.lifting import ModeUnitary
 
@@ -112,6 +112,16 @@ class TestPrepare:
     def test_zero_target_rejected(self, runner):
         result = runner.invoke(main, ["prepare", "0", "0", "0"])
         assert result.exit_code == 2
+
+    def test_huge_amplitudes_normalize_without_overflow(self, runner):
+        result = runner.invoke(
+            main, ["--format", "json", "prepare", "--", "1e300", "1e300", "1e300"]
+        )
+        assert result.exit_code == 0, result.output
+        expected = solve_target(tuple(np.ones(3) / math.sqrt(3))).success_probability
+        assert json.loads(result.stdout)["probability"] == pytest.approx(
+            expected, abs=1e-12
+        )
 
     def test_library_error_exits_numeric(self, runner, monkeypatch):
         def no_circuit(*args, **kwargs):

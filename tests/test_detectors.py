@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lopsim.circuits import Circuit, bunching_circuit, recompose
+from lopsim.circuits import BeamSplitter, Circuit, bunching_circuit, recompose
 from lopsim.detectors import (
     ancilla_branches,
     bunching_tradeoff_report,
@@ -42,6 +42,12 @@ def reverse_run():
     inp = tensor_with_ancilla(PureState.from_occupation(basis, (2, 0)), 1)
     unitary = recompose(bunching_circuit())
     return apply(lift_unitary(unitary, 3), inp)
+
+
+def tiny_leak():
+    """|1,0> into a 1e-10 rad beam splitter: the ancilla branch has weight 1e-20."""
+    circuit = Circuit(2, (BeamSplitter((1, 2), 1e-10),))
+    return circuit, PureState.from_occupation(enumerate_basis(2, 1), (1, 0))
 
 
 def random_run(rng):
@@ -153,6 +159,12 @@ class TestConditionalClick:
         rho, p1 = conditional_click(reverse_run(), 0.0)
         assert rho is None and p1 == 0.0
 
+    def test_outcome_below_cut_flagged(self):
+        # a click at eta = 1e-10 has probability 1e-30, nonzero but below 1e-24
+        circuit, inp = tiny_leak()
+        evolved = apply(lift_unitary(recompose(circuit), 1), inp)
+        assert conditional_click(evolved, 1e-10) == (None, 0.0)
+
     def test_reverse_run_ideal_branch_weight(self):
         # the splitting run reaches |11> through the one-photon branch with
         # ideal weight 1/2
@@ -242,6 +254,15 @@ class TestTradeoffSweep:
         assert points[0].probability == 0.0 and math.isnan(points[0].fidelity)
         assert points[1].probability == pytest.approx(0.75, abs=1e-12)
         assert points[1].fidelity == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_impossible_point_cut_is_not_exact_zero(self):
+        # p = 1e-30 at eta = 1e-10 falls below the 1e-24 cut; at eta = 0.5 the
+        # click probability 5e-21 stays above it
+        circuit, inp = tiny_leak()
+        low, half = tradeoff_sweep(circuit, inp, "click", [1e-10, 0.5])
+        assert low.probability == 0.0 and math.isnan(low.fidelity)
+        assert half.probability == pytest.approx(5e-21, rel=1e-9)
+        assert half.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unknown_protocol(self):
         basis = enumerate_basis(2, 2)

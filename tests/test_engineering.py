@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lopsim.engineering import (
     ExtensionParams,
     InfeasibleExtensionError,
+    _unit_factors,
     build_extension_matrix,
     kraus_branches,
     multi_ancilla_bound_check,
@@ -403,7 +406,7 @@ class TestSolveTarget:
 
 class TestMultiAncillaBound:
     def test_two_ancillas_cannot_beat_bunching(self):
-        best = multi_ancilla_bound_check((1.0, 0.0, 0.0), 2, 300, refine_starts=3)
+        best = multi_ancilla_bound_check((1.0, 0.0, 0.0), 2)
         assert best <= 0.5 + 1e-6
 
     def test_single_ancilla_reproduces_solver(self):
@@ -412,29 +415,72 @@ class TestMultiAncillaBound:
         v /= np.linalg.norm(v)
         target = tuple(v)
         single = solve_target(target).success_probability
-        found = multi_ancilla_bound_check(target, 1, 300, refine_starts=3)
+        found = multi_ancilla_bound_check(target, 1)
         assert abs(found - single) <= 1e-4
 
     def test_identity_target_reaches_one(self):
         for count in (1, 2):
-            best = multi_ancilla_bound_check((0.0, 1.0, 0.0), count, 100,
-                                             refine_starts=2)
+            best = multi_ancilla_bound_check((0.0, 1.0, 0.0), count)
             assert best == pytest.approx(1.0, abs=1e-7)
 
     def test_rejects_zero_ancillas(self):
         with pytest.raises(ValueError):
-            multi_ancilla_bound_check((1.0, 0.0, 0.0), 0, 10)
+            multi_ancilla_bound_check((1.0, 0.0, 0.0), 0)
+
+    def test_former_search_settings_are_accepted_and_ignored(self):
+        target = (0.6, 0.48j, 0.64)
+        assert multi_ancilla_bound_check(target, 2, 300, refine_starts=2) == (
+            multi_ancilla_bound_check(target, 2)
+        )
 
 
-@pytest.mark.slow
+@st.composite
+def normalized_targets(draw):
+    """Targets whose amplitudes include exact zeros and a wide range of moduli."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    v = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-6)
+    return tuple(v / norm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(normalized_targets(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_no_contraction_beats_closed_form(target, x, y):
+    # every block [sqrt(x) u, sqrt(y) v] reaches the target ray; among the
+    # contractions none beats P* = (1 + c^2)/(1 + c)^2
+    u, v = _unit_factors(*target)
+    branch = np.array([RT2 * u[0] * v[0], u[0] * v[1] + u[1] * v[0], RT2 * u[1] * v[1]])
+    c = abs(np.vdot(u, v))
+    assert abs(np.vdot(target, branch)) ** 2 == pytest.approx(1 + c * c, abs=1e-12)
+    p_star = (1 + c * c) / (1 + c) ** 2
+    assert multi_ancilla_bound_check(target, 1) == pytest.approx(p_star, abs=1e-12)
+    block = np.column_stack([math.sqrt(x) * u, math.sqrt(y) * v])
+    assume(np.linalg.norm(block, 2) <= 1)
+    assert x * y * (1 + c * c) <= p_star + 1e-12
+
+
 def test_extra_ancillas_never_dominate():
-    # sampled targets on the state sphere: two vacuum ancillas must not beat
-    # the single-ancilla optimum beyond numerical slack
+    # sampled targets on the state sphere plus edge, double-root and
+    # near-degenerate ones: two vacuum ancillas must not beat the
+    # single-ancilla optimum, and the solver must reach the exact optimum
     rng = np.random.default_rng(31)
+    targets = []
     for _ in range(20):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        target = tuple(v)
+        targets.append(tuple(v))
+    targets += [
+        (0.6, 0.8j, 0.0),  # C = 0
+        (0.0, 0.8, -0.6j),  # A = 0
+        (0.5, 1 / RT2, 0.5),  # double root: B^2 = 2AC
+        (1e-10, math.sqrt(1 - 2e-20), 1e-10),  # edges above degenerate_tol
+        (1e-13, 1.0, 1e-13),  # edges below degenerate_tol
+        (1.0, 1e-200, 0.0),  # a factor whose entries underflow when squared
+    ]
+    for target in targets:
         single = solve_target(target).success_probability
-        multi = multi_ancilla_bound_check(target, 2, 300, refine_starts=2)
+        multi = multi_ancilla_bound_check(target, 2)
         assert multi <= single + 1e-6
+        assert single >= multi - 1e-9
+        assert single <= multi + 1e-9
