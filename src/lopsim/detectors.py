@@ -27,7 +27,7 @@ from .fock import (
     enumerate_basis,
     tensor_with_ancilla,
 )
-from .lifting import ModeUnitary, apply, lift_unitary
+from .lifting import ModeUnitary, evolve
 
 
 def povm_no_click(eta: float, max_photons: int) -> np.ndarray:
@@ -147,7 +147,7 @@ def tradeoff_sweep(circuit, input_state: PureState, protocol: str, eta_grid,
     unitary = _as_mode_unitary(circuit)
     if unitary.size != input_state.basis.modes:
         raise ValueError("circuit and input state must cover the same modes")
-    evolved = apply(lift_unitary(unitary, input_state.basis.photons), input_state)
+    evolved = evolve(unitary, input_state)
     n = np.array([b.squared_norm for b in ancilla_branches(evolved)])
     j = target_branch if target_branch is not None else (
         0 if protocol == "no-click" else 1

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from .fock import ATOL, PureState, enumerate_basis, overlap, tensor_with_ancilla
-from .lifting import ModeUnitary, apply, lift_unitary
+from .lifting import ModeUnitary, evolve
 
 DEFAULT_SEED = 123456789
 
@@ -170,7 +170,7 @@ def postselect(mode_unitary: ModeUnitary, input_state: PureState, ancilla_in,
             f"outcome {pattern_out} exceeds the total of {total} photons"
         )
     extended = tensor_with_ancilla(input_state, pattern_in)
-    evolved = apply(lift_unitary(mode_unitary, total), extended)
+    evolved = evolve(mode_unitary, extended)
     comp_basis = enumerate_basis(n_comp, total - sum(pattern_out))
     amps = np.array(
         [evolved.amplitude(occ + pattern_out) for occ in comp_basis.states]
@@ -197,8 +197,10 @@ def kraus_branches(mode_unitary: ModeUnitary, ancilla_in: int, total_photons: in
     One branch per detected photon number m' in 0..total_photons; the branch
     operator maps the computational sector with total_photons - m photons to
     the one with total_photons - m'. Together the branches are complete:
-    sum of A^dag A is the identity. If an input state is supplied, each
-    branch records its outcome probability for that input.
+    sum of A^dag A is the identity. Column c of every operator is read from
+    the evolved input occupation c with the ancilla prepared. If an input
+    state is supplied, each branch records its outcome probability for that
+    input.
     """
     if mode_unitary.size != 3:
         raise ValueError("Kraus extraction is defined for one ancilla mode (3x3)")
@@ -206,19 +208,21 @@ def kraus_branches(mode_unitary: ModeUnitary, ancilla_in: int, total_photons: in
         raise ValueError(
             f"ancilla preparation {ancilla_in} outside 0..{total_photons}"
         )
-    lifted = lift_unitary(mode_unitary, total_photons)
-    full = lifted.basis
     in_basis = enumerate_basis(2, total_photons - ancilla_in)
     if input_state is not None and input_state.basis != in_basis:
         raise ValueError("input state lives on the wrong computational sector")
+    columns = [
+        evolve(mode_unitary, tensor_with_ancilla(
+            PureState.from_occupation(in_basis, occ), ancilla_in))
+        for occ in in_basis.states
+    ]
     branches = []
     for mp in range(total_photons + 1):
         out_basis = enumerate_basis(2, total_photons - mp)
-        op = np.empty((out_basis.size, in_basis.size), dtype=complex)
-        for c, occ_in in enumerate(in_basis.states):
-            col = full.index(occ_in + (ancilla_in,))
-            for r, occ_out in enumerate(out_basis.states):
-                op[r, c] = lifted.matrix[full.index(occ_out + (mp,)), col]
+        op = np.array([
+            [col.amplitude(occ_out + (mp,)) for col in columns]
+            for occ_out in out_basis.states
+        ])
         prob = None
         if input_state is not None:
             v = op @ input_state.amplitudes

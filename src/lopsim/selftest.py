@@ -1,9 +1,9 @@
 """Built-in verification suite: one named check per release criterion.
 
 Each check re-derives its expected values through an independent route where
-one exists (permanents vs exponential lift, formulas vs full simulation) and
-compares at a pinned tolerance. The CLI exposes the suite as `selftest`; the
-pytest acceptance module runs the same functions.
+one exists (creation recursion vs exponential lift vs permanents, formulas vs
+full simulation) and compares at a pinned tolerance. The CLI exposes the
+suite as `selftest`; the pytest acceptance module runs the same functions.
 """
 
 import math
@@ -28,7 +28,13 @@ from .engineering import (
     solve_target,
 )
 from .fock import PureState, dimension, enumerate_basis, overlap, tensor_with_ancilla
-from .lifting import ModeUnitary, apply, lift_unitary, lift_via_js_exponential
+from .lifting import (
+    ModeUnitary,
+    apply,
+    lift_unitary,
+    lift_via_js_exponential,
+    lift_via_permanents,
+)
 
 
 @dataclass
@@ -111,15 +117,20 @@ def check_representation_homomorphism(rng, tol):
 
 
 def check_oracle_equivalence(rng, tol):
-    """Permanent-based lift agrees with the exponential route on random unitaries."""
+    """The creation recursion, the exponential route and the permanents agree."""
     tol = 1e-8 if tol is None else tol
     worst = 0.0
     cases = [(2 + i % 3, i % 5) for i in range(100)]  # N in 2..4, n in 0..4
     for size, photons in cases:
         m = ModeUnitary.random(size, rng)
-        direct = lift_unitary(m, photons).matrix
+        recursion = lift_unitary(m, photons).matrix
         via_exp = lift_via_js_exponential(m, photons).matrix
-        worst = max(worst, float(np.max(np.abs(direct - via_exp))))
+        via_perm = lift_via_permanents(m, photons).matrix
+        worst = max(
+            worst,
+            float(np.max(np.abs(recursion - via_exp))),
+            float(np.max(np.abs(recursion - via_perm))),
+        )
     return worst <= tol, f"max deviation {worst:.2e}"
 
 

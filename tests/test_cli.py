@@ -1,15 +1,16 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lopsim.circuits import Circuit, bunching_circuit, recompose
+from lopsim.circuits import Circuit, bunching_circuit, decompose, recompose
 from lopsim.cli import main, parse_complex
 from lopsim.engineering import postselect, solve_target
 from lopsim.fock import PureState, enumerate_basis, overlap
-from lopsim.lifting import ModeUnitary
+from lopsim.lifting import ModeUnitary, transition_amplitude
 
 RT2 = math.sqrt(2.0)
 
@@ -32,6 +33,14 @@ def runner():
 def bunching_file(tmp_path):
     path = tmp_path / "bunching.json"
     path.write_text(json.dumps(bunching_circuit().to_json()))
+    return str(path)
+
+
+@pytest.fixture
+def haar8_file(tmp_path):
+    path = tmp_path / "haar8.json"
+    unitary = ModeUnitary.random(8, np.random.default_rng(8))
+    path.write_text(json.dumps(decompose(unitary).to_json()))
     return str(path)
 
 
@@ -179,6 +188,40 @@ class TestSimulate:
         payload = json.loads(result.stdout)
         assert payload["probability"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_eight_modes_six_photons_matches_permanents(self, runner, haar8_file):
+        occupation = (2, 0, 1, 1, 0, 1, 0, 1)
+        t0 = time.perf_counter()
+        result = runner.invoke(
+            main,
+            ["--format", "json", "simulate", haar8_file,
+             "--input", " ".join(map(str, occupation)), "--outcome", "1"],
+        )
+        elapsed = time.perf_counter() - t0
+        assert result.exit_code == 0, result.output
+        assert elapsed < 2.0
+        payload = json.loads(result.stdout)
+        with open(haar8_file) as fh:
+            unitary = recompose(Circuit.from_json(json.load(fh)))
+        comp = enumerate_basis(7, 5)
+        branch = np.array([transition_amplitude(unitary, occ + (1,), occupation)
+                           for occ in comp.states])
+        prob = float(np.vdot(branch, branch).real)
+        assert payload["probability"] == pytest.approx(prob, abs=1e-12)
+        amps = np.array([complex(*z) for z in payload["state"]["amplitudes"]])
+        assert np.max(np.abs(amps - branch / math.sqrt(prob))) <= 1e-10
+
+    def test_eight_modes_eight_photons(self, runner, haar8_file):
+        result = runner.invoke(
+            main,
+            ["--format", "json", "simulate", haar8_file,
+             "--input", "1 1 1 1 1 1 1 1", "--outcome", "0"],
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        assert 0.0 < payload["probability"] < 1.0
+        amps = np.array([complex(*z) for z in payload["state"]["amplitudes"]])
+        assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-10)
+
     def test_missing_file_fails_usage(self, runner):
         result = runner.invoke(
             main, ["simulate", "nope.json", "--input", "1 1 0", "--outcome", "0"]
@@ -199,6 +242,15 @@ class TestSimulate:
             main, ["simulate", bunching_file, "--input", "100 100 0", "--outcome", "0"]
         )
         assert_numeric_failure(result, "sector dimension")
+
+    def test_nan_circuit_exits_numeric(self, runner, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"modes": 3, "elements": '
+                        '[{"kind": "bs", "modes": [1, 2], "theta": NaN}]}')
+        result = runner.invoke(
+            main, ["simulate", str(path), "--input", "1 1 0", "--outcome", "0"]
+        )
+        assert_numeric_failure(result, "not unitary")
 
     def test_wrong_occupation_length(self, runner, bunching_file):
         result = runner.invoke(

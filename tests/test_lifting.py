@@ -3,18 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lopsim.fock import PureState, dimension, enumerate_basis
 from lopsim.lifting import (
+    MAX_LIFT_DIM,
     AlgebraElement,
+    BranchCutError,
     LiftedUnitary,
     ModeUnitary,
+    NormDriftError,
     apply,
+    evolve,
     js_operator_matrix,
     ladder_product_matrix,
     lift_unitary,
     lift_via_js_exponential,
+    lift_via_permanents,
     permanent,
+    transition_amplitude,
 )
 
 
@@ -212,7 +220,7 @@ class TestJsExponentialRoute:
         rng = np.random.default_rng(14)
         for _ in range(10):
             m = ModeUnitary.random(3, rng)
-            direct = lift_unitary(m, 2).matrix
+            direct = lift_via_permanents(m, 2).matrix
             via_exp = lift_via_js_exponential(m, 2).matrix
             assert np.max(np.abs(direct - via_exp)) <= 1e-8
 
@@ -260,3 +268,114 @@ class TestLiftedUnitaryValidation:
         basis = enumerate_basis(2, 1)
         with pytest.raises(ValueError, match="not unitary"):
             LiftedUnitary(basis, np.array([[1.0, 0.0], [0.0, 1.1]]))
+
+
+@st.composite
+def superpositions(draw):
+    """(unitary, state): a Haar unitary on 1-6 modes and 0-5 photons spread
+    over up to three basis states with random complex amplitudes."""
+    modes = draw(st.integers(1, 6))
+    photons = draw(st.integers(0, 5))
+    basis = enumerate_basis(modes, photons)
+    support = draw(st.lists(st.integers(0, basis.size - 1), min_size=1,
+                            max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(basis.size, dtype=complex)
+    amps[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+    return ModeUnitary.random(modes, rng), PureState(basis, amps / np.linalg.norm(amps))
+
+
+def _case(modes, occupation, seed=0):
+    basis = enumerate_basis(modes, sum(occupation))
+    rng = np.random.default_rng(seed)
+    return ModeUnitary.random(modes, rng), PureState.from_occupation(basis, occupation)
+
+
+class TestEvolveOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(superpositions())
+    @example(_case(4, (0, 0, 0, 0)))  # vacuum sector
+    @example(_case(5, (0, 0, 1, 0, 0)))  # one photon
+    @example(_case(3, (0, 5, 0)))  # every photon in one mode
+    @example(_case(6, (0, 0, 0, 0, 0, 5)))
+    @example(_case(1, (4,)))
+    def test_recursion_matches_lift_and_permanents(self, case):
+        unitary, state = case
+        basis = state.basis
+        out = evolve(unitary, state).amplitudes
+        lifted = apply(lift_unitary(unitary, basis.photons), state).amplitudes
+        support = np.flatnonzero(state.amplitudes)
+        by_permanents = np.array([
+            sum(transition_amplitude(unitary, occ, basis.states[c]) * state.amplitudes[c]
+                for c in support)
+            for occ in basis.states
+        ])
+        assert np.max(np.abs(out - lifted)) <= 1e-12
+        assert np.max(np.abs(out - by_permanents)) <= 1e-12
+        if basis.photons == 0:
+            assert np.array_equal(out, state.amplitudes)
+        if basis.photons == 1:  # basis state i is one photon in mode i
+            assert np.max(np.abs(out - unitary.matrix @ state.amplitudes)) <= 1e-12
+
+    def test_zero_state_stays_zero(self):
+        basis = enumerate_basis(3, 2)
+        out = evolve(ModeUnitary.random(3, np.random.default_rng(17)),
+                     PureState(basis, np.zeros(basis.size)))
+        assert np.count_nonzero(out.amplitudes) == 0
+
+    def test_rejects_mode_mismatch(self):
+        state = PureState.from_occupation(enumerate_basis(2, 1), (1, 0))
+        with pytest.raises(ValueError, match="modes"):
+            evolve(ModeUnitary.identity(3), state)
+
+
+class TestEvolveNormCheck:
+    @pytest.mark.parametrize("scale", [1.1, 0.9, math.nan])
+    def test_non_unitary_matrix_raises(self, scale):
+        m = ModeUnitary(scale * np.eye(2), atol=1.0)
+        state = PureState.from_occupation(enumerate_basis(2, 2), (1, 1))
+        with pytest.raises(NormDriftError, match="squared norm") as info:
+            evolve(m, state)
+        assert isinstance(info.value, ArithmeticError)
+
+
+class TestFullLiftLimit:
+    def test_rejects_sector_above_limit_naming_dimension(self):
+        d = dimension(8, 7)
+        assert d > MAX_LIFT_DIM
+        with pytest.raises(ValueError, match=f"sector dimension {d}"):
+            lift_unitary(ModeUnitary.identity(8), 7)
+
+
+def _with_eigenphase_near_cut(modes, offsets, seed):
+    """Haar-rotated unitary whose first eigenphases sit at pi - offset."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-np.pi, np.pi, modes)
+    phases[: len(offsets)] = np.pi - np.asarray(offsets)
+    v = ModeUnitary.random(modes, rng).matrix
+    return ModeUnitary((v * np.exp(1j * phases)) @ v.conj().T)
+
+
+class TestJsBranchCutThreshold:
+    """An eigenvalue at distance ~|offset| from -1, on both sides of the 1e-12
+    cut at which the JS route rotates the spectrum: the route either agrees
+    with the recursion or raises BranchCutError."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        modes=st.integers(1, 4),
+        photons=st.integers(0, 3),
+        offsets=st.lists(
+            st.sampled_from([0.0, 1e-15, 3e-13, 9.9e-13, 1.01e-12, 3e-12, 1e-10, 1e-7])
+            .flatmap(lambda x: st.sampled_from([x, -x])),
+            min_size=1, max_size=2,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_or_raises_named_error(self, modes, photons, offsets, seed):
+        m = _with_eigenphase_near_cut(modes, offsets[:modes], seed)
+        try:
+            via_exp = lift_via_js_exponential(m, photons).matrix
+        except BranchCutError:
+            return
+        assert np.max(np.abs(via_exp - lift_unitary(m, photons).matrix)) <= 1e-8
